@@ -16,16 +16,18 @@ from repro.core import Network, SGD
 from repro.graph import build_layered_network
 from repro.memory import PoolAllocator, ThreadLocalAllocator
 from repro.observability import get_registry, render_metrics
-from repro.scheduler import TraceRecorder, select_strategy
+from repro.observability.tracing import Tracer, set_tracer, task_summary
+from repro.scheduler import select_strategy
 from repro.sync import HeapOfLists
 
 
-def traced_training(num_workers=2, rounds=2):
-    rec = TraceRecorder()
+def training(num_workers=2, rounds=2):
+    """Training rounds of the utilization workload under whichever
+    tracer is installed."""
     graph = build_layered_network("CTMCT", width=3, kernel=3, window=2,
                                   transfer="tanh")
     net = Network(graph, input_shape=(18, 18, 18), conv_mode="fft",
-                  seed=0, num_workers=num_workers, recorder=rec,
+                  seed=0, num_workers=num_workers,
                   optimizer=SGD(learning_rate=1e-3))
     rng = np.random.default_rng(1)
     x = rng.standard_normal((18, 18, 18))
@@ -34,12 +36,22 @@ def traced_training(num_workers=2, rounds=2):
         net.train_step(x, targets)
     net.synchronize()
     net.close()
-    return rec
+
+
+def traced_training(num_workers=2, rounds=2):
+    """The same rounds under a fresh enabled tracer; returns the task
+    summary of their spans."""
+    tracer = Tracer(enabled=True, process="bench")
+    previous = set_tracer(tracer)
+    try:
+        training(num_workers, rounds)
+    finally:
+        set_tracer(previous)
+    return task_summary(tracer.spans())
 
 
 def test_print_family_breakdown():
-    rec = traced_training()
-    summary = rec.summary()
+    summary = traced_training()
     total = sum(summary.time_per_family.values())
     rows = [[family, fmt(seconds, 3), fmt(seconds / total, 3)]
             for family, seconds in sorted(summary.time_per_family.items(),
@@ -56,8 +68,7 @@ def test_print_family_breakdown():
 
 
 def test_print_worker_utilization():
-    rec = traced_training(num_workers=2)
-    s = rec.summary()
+    s = traced_training(num_workers=2)
     rows = [[w, fmt(b, 3)] for w, b in sorted(s.busy_per_worker.items())]
     print_table(f"worker busy time over span {s.span:.3f}s "
                 f"(utilization {s.utilization:.0%})",
@@ -117,17 +128,15 @@ def test_bench_traced_round_metrics_disabled(benchmark):
 
 
 def test_bench_traced_round_span_tracing(benchmark):
-    """Same round with hierarchical span tracing on (REPRO_TRACING
-    semantics) — compare against test_bench_traced_round to see the
+    """Same round with span tracing on (REPRO_TRACING semantics) —
+    compare against test_bench_traced_round_span_tracing_off to see the
     per-span cost in situ.  Span recording costs ~3µs/span micro
     (open + close + ring append); at this toy 18³ scale the round is
     only a few ms, so the relative overhead is larger than at the
     representative volumes the CI trace-smoke lane gates at ≤5%."""
-    from repro.observability.tracing import Tracer, set_tracer
-
     previous = set_tracer(Tracer(enabled=True, process="bench"))
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
     finally:
         set_tracer(previous)
 
@@ -136,11 +145,9 @@ def test_bench_traced_round_span_tracing_off(benchmark):
     """The tracing-off fast path (one enabled-check branch per
     instrumentation site) — the pair of
     test_bench_traced_round_span_tracing."""
-    from repro.observability.tracing import Tracer, set_tracer
-
     previous = set_tracer(Tracer(enabled=False, process="bench"))
     try:
-        benchmark(traced_training, 1, 1)
+        benchmark(training, 1, 1)
     finally:
         set_tracer(previous)
 

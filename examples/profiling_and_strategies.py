@@ -4,7 +4,7 @@ Chrome-trace export, automatic strategy selection, and checkpointing.
 
 Demonstrates the infrastructure around the core trainer:
 
-1. attach a TraceRecorder and see where one round of gradient learning
+1. enable span tracing and see where one round of gradient learning
    spends its time (forward / backward / update / loss tasks), including
    queue waits;
 2. read the process-global metrics registry — queue traffic, FFT-cache
@@ -17,6 +17,7 @@ Demonstrates the infrastructure around the core trainer:
 Run:  python examples/profiling_and_strategies.py
 """
 
+import json
 import os
 import tempfile
 
@@ -24,12 +25,14 @@ import numpy as np
 
 from repro import Network, RandomProvider, SGD, Trainer, build_layered_network
 from repro.core import load_network, save_network
-from repro.observability import (
-    get_registry,
-    render_metrics,
-    write_chrome_trace,
+from repro.observability import get_registry, render_metrics
+from repro.observability.tracing import (
+    Tracer,
+    set_tracer,
+    spans_to_chrome_trace,
+    task_summary,
 )
-from repro.scheduler import TraceRecorder, select_strategy
+from repro.scheduler import select_strategy
 
 
 def main() -> None:
@@ -49,17 +52,19 @@ def main() -> None:
     # -- 1. traced training --------------------------------------------
     registry = get_registry()
     registry.reset()  # start the counters from zero for this run
-    recorder = TraceRecorder()
+    tracer = Tracer(enabled=True)
+    previous_tracer = set_tracer(tracer)  # every task becomes a span
     net = Network(graph, input_shape=(26, 26, 26), conv_mode="auto",
                   seed=0, num_workers=2, scheduler=choice.scheduler,
-                  recorder=recorder,
                   optimizer=SGD(learning_rate=1e-4, momentum=0.9))
     provider = RandomProvider((26, 26, 26), net.output_nodes[0].shape,
                               seed=1)
     Trainer(net, provider).run(rounds=5)
     net.synchronize()
+    set_tracer(previous_tracer)
 
-    summary = recorder.summary()
+    spans = tracer.spans()
+    summary = task_summary(spans)
     total = sum(summary.time_per_family.values())
     print(f"traced {summary.tasks} tasks over {summary.span:.3f}s "
           f"({summary.workers} workers, "
@@ -74,7 +79,8 @@ def main() -> None:
     print(render_metrics(registry=registry,
                          title="metrics after 5 training rounds"))
     trace_path = os.path.join(tempfile.gettempdir(), "repro_example.trace.json")
-    write_chrome_trace(recorder, trace_path)
+    with open(trace_path, "w") as fh:
+        json.dump(spans_to_chrome_trace(spans), fh)
     print(f"\nChrome trace written to {trace_path} "
           "(load it in chrome://tracing or https://ui.perfetto.dev)")
 

@@ -16,7 +16,8 @@ Commands
 ``train``
     Train a network from a spec file (or the built-in 3D benchmark) on
     synthetic boundary-detection data, with optional checkpointing and
-    (``--trace-out``) a Chrome-trace of every executed task.
+    (``--trace-out``) a Chrome-trace of the run's spans — one per
+    executed task — with or without ``--workers``.
 ``metrics``
     Run a short instrumented training workload and print the metrics
     registry snapshot (queue / engine / FFT-cache / allocator /
@@ -71,6 +72,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -159,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "advisory on the serial engine)")
     train.add_argument("--volume-size", type=int, default=48)
     train.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write a chrome://tracing JSON of every "
-                            "executed task to FILE")
+                       help="write a chrome://tracing JSON of the "
+                            "run's spans (one per executed task) to FILE")
     train.add_argument("--metrics", action="store_true",
                        help="print the metrics-registry snapshot after "
                             "training")
@@ -543,6 +545,52 @@ def _train_provider(volume_size: int, seed: int, input_size: int,
                          seed=seed + 2, pooled=True)
 
 
+@contextlib.contextmanager
+def _span_trace(path: Optional[str]):
+    """Trace the enclosed run into *path* (a no-op when *path* is None).
+
+    Installs a fresh enabled tracer for the run — and ``REPRO_TRACING=1``
+    for the worker processes it spawns, whose spans ship back over the
+    pipe — then writes every span as Chrome-trace JSON and prints the
+    task summary computed from the task spans.
+    """
+    if not path:
+        yield
+        return
+    import json
+
+    from repro.observability.tracing import (Tracer, set_tracer,
+                                             spans_to_chrome_trace,
+                                             task_summary)
+
+    tracer = Tracer(enabled=True, process="main")
+    previous = set_tracer(tracer)
+    previous_env = os.environ.get("REPRO_TRACING")
+    os.environ["REPRO_TRACING"] = "1"
+    try:
+        yield
+    finally:
+        set_tracer(previous)
+        if previous_env is None:
+            del os.environ["REPRO_TRACING"]
+        else:
+            os.environ["REPRO_TRACING"] = previous_env
+    spans = tracer.spans()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spans_to_chrome_trace(spans), fh)
+    processes = sorted({s.process for s in spans})
+    print(f"trace written to {path} ({len(spans)} spans from "
+          f"{len(processes)} process(es): {', '.join(processes)})")
+    if tracer.dropped:
+        print(f"partial trace: the ring buffer evicted {tracer.dropped} "
+              "span(s); the figures below cover only the spans kept")
+    s = task_summary(spans)
+    print(f"{s.tasks} tasks over {s.span:.3f}s on {s.workers} worker(s); "
+          f"utilization {s.utilization:.0%}, "
+          f"mean queue wait {s.mean_queue_wait * 1e3:.2f}ms, "
+          f"{s.failed} failed")
+
+
 def _cmd_train_parallel(args) -> int:
     """The ``--workers``/``--batch`` path: multi-process data-parallel
     training with a deterministic cross-process gradient reduction."""
@@ -596,17 +644,6 @@ def _cmd_train_parallel(args) -> int:
             conv_mode=args.conv_mode, loss="binary-logistic",
             seed=args.seed, learning_rate=args.learning_rate,
             momentum=args.momentum)
-    if args.trace_out:
-        # Hierarchical round tracing: the env flag is inherited by the
-        # spawned workers, whose spans ship back over the pipe, so the
-        # coordinator's buffer holds the whole multi-process trace.
-        import os as _os
-
-        from repro.observability.tracing import get_tracer
-
-        _os.environ["REPRO_TRACING"] = "1"
-        get_tracer().enable()
-
     graph = config.build_graph()
     graph.validate()
     graph.propagate_shapes(config.input_shape)
@@ -614,54 +651,43 @@ def _cmd_train_parallel(args) -> int:
     voxels = float(np.prod(out_shape))
     rounds = args.rounds
 
-    trainer = ParallelTrainer(
-        config, _train_provider,
-        (args.volume_size, args.seed, args.input_size, out_shape),
-        workers=workers, batch=batch)
-    try:
-        net = trainer.network
-        print(f"network: {len(net.nodes)} nodes, {len(net.edges)} "
-              f"edges; input {(args.input_size,) * 3} -> output "
-              f"{out_shape}")
-        print(f"data-parallel: {workers} process(es), "
-              f"global batch {batch}")
-        report = trainer.run(
-            rounds,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            callback=lambda i, loss: print(
-                f"round {i:4d}  loss/voxel {loss / voxels:.4f}")
-            if i % max(rounds // 10, 1) == 0 else None)
-        print(f"mean seconds/update: "
-              f"{report.mean_seconds_per_update:.4f}")
-        if report.losses:
-            print(f"final loss/voxel: {report.losses[-1] / voxels:.4f}")
-        if report.checkpoints:
-            print(f"latest checkpoint: {report.checkpoints[-1]}")
-        if args.checkpoint:
-            save_network(net, args.checkpoint)
-            print(f"checkpoint written to {args.checkpoint}")
-        if report.worker_deaths:
-            print(f"worker deaths survived: {report.worker_deaths}")
-        print(f"state digest: {state_digest(net)}")
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        trainer.close()
-    if args.trace_out:
-        import json
-
-        from repro.observability.tracing import (get_tracer,
-                                                 spans_to_chrome_trace)
-
-        spans = get_tracer().spans()
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(spans_to_chrome_trace(spans), fh)
-        processes = sorted({s.process for s in spans})
-        print(f"trace written to {args.trace_out} "
-              f"({len(spans)} spans from {len(processes)} process(es): "
-              f"{', '.join(processes)})")
+    with _span_trace(args.trace_out):
+        trainer = ParallelTrainer(
+            config, _train_provider,
+            (args.volume_size, args.seed, args.input_size, out_shape),
+            workers=workers, batch=batch)
+        try:
+            net = trainer.network
+            print(f"network: {len(net.nodes)} nodes, {len(net.edges)} "
+                  f"edges; input {(args.input_size,) * 3} -> output "
+                  f"{out_shape}")
+            print(f"data-parallel: {workers} process(es), "
+                  f"global batch {batch}")
+            report = trainer.run(
+                rounds,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_dir=args.checkpoint_dir,
+                callback=lambda i, loss: print(
+                    f"round {i:4d}  loss/voxel {loss / voxels:.4f}")
+                if i % max(rounds // 10, 1) == 0 else None)
+            print(f"mean seconds/update: "
+                  f"{report.mean_seconds_per_update:.4f}")
+            if report.losses:
+                print(f"final loss/voxel: "
+                      f"{report.losses[-1] / voxels:.4f}")
+            if report.checkpoints:
+                print(f"latest checkpoint: {report.checkpoints[-1]}")
+            if args.checkpoint:
+                save_network(net, args.checkpoint)
+                print(f"checkpoint written to {args.checkpoint}")
+            if report.worker_deaths:
+                print(f"worker deaths survived: {report.worker_deaths}")
+            print(f"state digest: {state_digest(net)}")
+        except TrainingDiverged as exc:
+            print(f"training diverged: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            trainer.close()
     if args.metrics:
         from repro.observability import render_metrics
 
@@ -670,15 +696,8 @@ def _cmd_train_parallel(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    import numpy as np
-
-    from repro.core import Network, SGD, Trainer
-    from repro.core.serialization import load_latest_checkpoint, save_network
-    from repro.data import PatchProvider, make_cell_volume
     from repro.graph import build_layered_network, load_spec
-    from repro.resilience import (RECOVERY_METRICS, RetryPolicy,
-                                  recovery_summary)
-    from repro.scheduler import TraceRecorder
+    from repro.resilience import RetryPolicy
 
     if args.workers is not None or args.batch is not None:
         return _cmd_train_parallel(args)
@@ -700,11 +719,27 @@ def _cmd_train(args) -> int:
                                       window=2, transfer="tanh",
                                       final_transfer="linear",
                                       skip_kernels=True, output_nodes=1)
-    recorder = TraceRecorder() if args.trace_out else None
+    with _span_trace(args.trace_out):
+        _train_single(args, graph, retry_policy)
+    if args.metrics:
+        from repro.observability import render_metrics
+
+        print(render_metrics())
+    return 0
+
+
+def _train_single(args, graph, retry_policy) -> None:
+    """The single-process body of ``repro train``."""
+    import numpy as np
+
+    from repro.core import Network, SGD, Trainer
+    from repro.core.serialization import load_latest_checkpoint, save_network
+    from repro.data import PatchProvider, make_cell_volume
+    from repro.resilience import RECOVERY_METRICS, recovery_summary
+
     net = Network(graph, input_shape=(args.input_size,) * 3,
                   conv_mode=args.conv_mode, loss="binary-logistic",
-                  num_workers=1, seed=args.seed,
-                  recorder=recorder, retry_policy=retry_policy,
+                  num_workers=1, seed=args.seed, retry_policy=retry_policy,
                   optimizer=SGD(learning_rate=args.learning_rate,
                                 momentum=args.momentum))
     out_shape = net.output_nodes[0].shape
@@ -753,22 +788,9 @@ def _cmd_train(args) -> int:
                           for label, count in recovery.items()))
     else:
         print("recovery events: none")
-    if recorder is not None:
-        from repro.observability import write_chrome_trace
-
-        write_chrome_trace(recorder, args.trace_out)
-        s = recorder.summary()
-        print(f"trace written to {args.trace_out} "
-              f"({s.tasks} tasks, {s.workers} workers, "
-              f"utilization {s.utilization:.0%}, {s.failed} failed)")
-    if args.metrics:
-        from repro.observability import render_metrics
-
-        print(render_metrics())
-    return 0
 
 
-def _training_workload(args, recorder=None) -> None:
+def _training_workload(args) -> None:
     """A small instrumented training run shared by ``repro metrics``
     and ``repro trace`` (exercises queue, engine, FFT cache, pooled
     allocator and trainer metrics)."""
@@ -782,7 +804,6 @@ def _training_workload(args, recorder=None) -> None:
     net = Network(graph, input_shape=(args.input_size,) * 3,
                   conv_mode=args.conv_mode, loss="binary-logistic",
                   num_workers=args.workers, seed=args.seed,
-                  recorder=recorder,
                   optimizer=SGD(learning_rate=1e-3, momentum=0.9))
     volume = make_cell_volume(shape=args.volume_size, num_cells=8,
                               noise=0.08, seed=args.seed + 1)
@@ -816,20 +837,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.observability import write_chrome_trace
-    from repro.scheduler import TraceRecorder
-
     if args.merge:
         return _cmd_trace_merge(args)
-    recorder = TraceRecorder()
-    _training_workload(args, recorder=recorder)
-    write_chrome_trace(recorder, args.out)
-    s = recorder.summary()
-    print(f"trace written to {args.out}")
-    print(f"{s.tasks} tasks over {s.span:.3f}s on {s.workers} worker(s); "
-          f"utilization {s.utilization:.0%}, "
-          f"mean queue wait {s.mean_queue_wait * 1e3:.2f}ms, "
-          f"{s.failed} failed")
+    with _span_trace(args.out):
+        _training_workload(args)
     print("open chrome://tracing (or https://ui.perfetto.dev) and load "
           "the file to inspect the task cascade")
     return 0

@@ -86,9 +86,6 @@ class Network:
         ``"lifo"``, ``"work-stealing"``.
     seed:
         Seed for weight init and dropout.
-    recorder:
-        Optional :class:`repro.scheduler.TraceRecorder` capturing every
-        executed task (see ``repro.scheduler.instrumentation``).
     fft_fast_sizes:
         Pad FFT transforms up to 5-smooth sizes (faster transforms,
         slightly more memory; results are bit-compatible to ~1e-12).
@@ -113,7 +110,6 @@ class Network:
                  num_workers: int = 1,
                  scheduler: str = "priority",
                  seed: SeedLike = None,
-                 recorder=None,
                  fft_fast_sizes: bool = False,
                  deterministic_sums: bool = False,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
@@ -172,7 +168,7 @@ class Network:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if self.num_workers == 1:
             self.engine = SerialEngine(
-                scheduler=make_scheduler(scheduler, 1), recorder=recorder,
+                scheduler=make_scheduler(scheduler, 1),
                 retry_policy=retry_policy)
         else:
             try:
@@ -182,7 +178,7 @@ class Network:
                 self.engine = TaskEngine(
                     self.num_workers,
                     scheduler=make_scheduler(scheduler, self.num_workers),
-                    recorder=recorder, retry_policy=retry_policy).start()
+                    retry_policy=retry_policy).start()
             except Exception as exc:
                 # Graceful degradation: a broken parallel runtime must
                 # not kill the run — fall back to the serial engine.
@@ -194,7 +190,7 @@ class Network:
                 self.num_workers = 1
                 self.engine = SerialEngine(
                     scheduler=make_scheduler(scheduler, 1),
-                    recorder=recorder, retry_policy=retry_policy)
+                    retry_policy=retry_policy)
 
         # Round bookkeeping.
         self._lock = threading.Lock()

@@ -15,12 +15,9 @@ See ``docs/observability.md`` for the metric-name catalog and usage.
 """
 
 from repro.observability.export import (
-    chrome_trace,
-    chrome_trace_events,
     metrics_snapshot,
     prometheus_text,
     render_metrics,
-    write_chrome_trace,
     write_metrics_json,
 )
 from repro.observability.metrics import (
@@ -49,6 +46,7 @@ from repro.observability.tracing import (
     Span,
     SpanContext,
     Tracer,
+    TraceSummary,
     current_context,
     flight_dump,
     flight_note,
@@ -59,6 +57,7 @@ from repro.observability.tracing import (
     render_span_tree,
     set_tracer,
     spans_to_chrome_trace,
+    task_summary,
     write_trace_file,
 )
 
@@ -70,16 +69,15 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
-    "chrome_trace",
-    "chrome_trace_events",
     "metrics_snapshot",
     "prometheus_text",
     "render_metrics",
-    "write_chrome_trace",
     "write_metrics_json",
     "Span",
     "SpanContext",
     "Tracer",
+    "TraceSummary",
+    "task_summary",
     "FlightRecorder",
     "get_tracer",
     "set_tracer",

@@ -1,11 +1,11 @@
 """Hierarchical, request-scoped tracing with context propagation.
 
-The flat per-task records of :class:`repro.scheduler.TraceRecorder`
-answer "what did each worker run when", but the open ROADMAP items
-(per-layer algorithm selection, autoscaling) need *causal* structure:
-which request did a conv task belong to, how long did the request wait
-in admission before its first tile ran, which training round produced
-this worker's gradient pass.  This module provides that structure:
+Spans are the one record of what ran: every task an engine executes is
+a span (with its ``worker`` and ``queue_wait`` attached), and the
+*causal* structure around them comes for free — which request did a
+conv task belong to, how long did the request wait in admission before
+its first tile ran, which training round produced this worker's
+gradient pass.  This module provides:
 
 * :class:`Span` — one named interval with a ``trace_id`` (the request /
   round it belongs to), a ``span_id``, and a ``parent_id`` forming a
@@ -19,6 +19,9 @@ this worker's gradient pass.  This module provides that structure:
   buffer, a thread-local context stack, and exporters (Chrome trace,
   span-tree text view, per-process trace files that merge onto a
   shared timeline);
+* :func:`task_summary` — the Section VIII aggregates (per-worker busy
+  time, utilization, per-family time split, queue wait) computed from
+  the task spans;
 * :class:`FlightRecorder` — a small always-cheap ring of the most
   recent spans and notes, dumped to disk when something goes wrong
   (task failure, FFT degradation, worker death) so the moments *before*
@@ -72,6 +75,8 @@ __all__ = [
     "flight_note",
     "flight_dump",
     "spans_to_chrome_trace",
+    "TraceSummary",
+    "task_summary",
     "render_span_tree",
     "write_trace_file",
     "read_trace_file",
@@ -334,6 +339,13 @@ class Tracer:
         self.process = str(label)
         self._span_id_prefix = self.process + ":"
 
+    @property
+    def dropped(self) -> int:
+        """Spans evicted from the ring buffer so far: when non-zero,
+        :meth:`spans` is a partial trace."""
+        with self._lock:
+            return self._dropped
+
     def clear(self) -> None:
         self._sync_metrics()
         with self._lock:
@@ -431,18 +443,15 @@ class Tracer:
         return _ActiveSpan(self, tid, self._new_span_id(), parent_id,
                            name, category, attrs)
 
-    def task_span(self, task, worker: Optional[int] = None):
+    def task_span(self, task, category: str, worker: int,
+                  queue_wait: float):
         """The engine hook: a span for one scheduler task, parented on
         the context captured when the task was created."""
         if not self.enabled:
             return _NOOP_SPAN
-        ctx = getattr(task, "span_context", None)
-        name = task.name or "(anonymous)"
-        category = name.partition(":")[0] or "task"
-        if worker is None:
-            return self.span(name, category=category, parent=ctx)
-        return self.span(name, category=category, parent=ctx,
-                         worker=worker)
+        return self.span(task.name or "(anonymous)", category=category,
+                         parent=task.span_context, worker=worker,
+                         queue_wait=queue_wait)
 
     def record(self, name: str, start: float, end: float,
                category: str = "",
@@ -530,6 +539,8 @@ class Tracer:
             spans.append(span)
             count += 1
         with self._lock:
+            room = self._spans.maxlen - len(self._spans)
+            self._dropped += max(0, count - room)
             self._spans.extend(spans)
         return count
 
@@ -773,6 +784,70 @@ def spans_to_chrome_trace(spans: Sequence[Span]) -> dict:
             event["cname"] = "terrible"
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    """Aggregates over the task spans of one traced run."""
+
+    tasks: int
+    span: float
+    busy_per_worker: Dict[object, float]
+    time_per_family: Dict[str, float]
+    #: Task attempts whose body raised (still counted in ``tasks``).
+    failed: int = 0
+    #: Total seconds tasks spent queued before execution.
+    total_queue_wait: float = 0.0
+
+    @property
+    def workers(self) -> int:
+        return len(self.busy_per_worker)
+
+    @property
+    def utilization(self) -> float:
+        """Busy worker-time divided by (span x workers)."""
+        if not self.span or not self.busy_per_worker:
+            return 0.0
+        return sum(self.busy_per_worker.values()) / (
+            self.span * len(self.busy_per_worker))
+
+    @property
+    def mean_queue_wait(self) -> float:
+        return self.total_queue_wait / self.tasks if self.tasks else 0.0
+
+
+def task_summary(spans: Iterable[Span]) -> TraceSummary:
+    """Summarise the engine task spans (those carrying a ``worker``
+    attribute) among *spans*; other spans are ignored.
+
+    Workers are keyed by their engine index; when the spans come from
+    several processes (a data-parallel run) the key is
+    ``"<process>/<index>"`` so the processes' workers stay apart.  The
+    family of a task is its span category.
+    """
+    tasks = [s for s in spans if "worker" in s.attrs]
+    if not tasks:
+        return TraceSummary(0, 0.0, {}, {})
+    several = len({s.process for s in tasks}) > 1
+    busy: Dict[object, float] = {}
+    families: Dict[str, float] = {}
+    failed = 0
+    wait = 0.0
+    for s in tasks:
+        if s.end < s.start:
+            raise ValueError(f"task span {s.name!r} ends before it starts")
+        worker = s.attrs["worker"]
+        if several:
+            worker = f"{s.process}/{worker}"
+        busy[worker] = busy.get(worker, 0.0) + s.duration
+        families[s.category] = families.get(s.category, 0.0) + s.duration
+        failed += s.status != "ok"
+        wait += max(float(s.attrs.get("queue_wait", 0.0)), 0.0)
+    return TraceSummary(
+        tasks=len(tasks),
+        span=max(s.end for s in tasks) - min(s.start for s in tasks),
+        busy_per_worker=busy, time_per_family=families, failed=failed,
+        total_queue_wait=wait)
 
 
 def render_span_tree(spans: Sequence[Span],

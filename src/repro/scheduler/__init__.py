@@ -2,11 +2,11 @@
 FORCE protocol, alternative strategies."""
 
 from repro.scheduler.autoselect import StrategyChoice, select_strategy
-from repro.scheduler.engine import LOWEST_PRIORITY, TaskEngine, task_family
-from repro.scheduler.instrumentation import (
-    TaskRecord,
-    TraceRecorder,
-    TraceSummary,
+from repro.scheduler.engine import (
+    LOWEST_PRIORITY,
+    TaskEngine,
+    run_task,
+    task_family,
 )
 from repro.scheduler.serial import SerialEngine
 from repro.scheduler.strategies import (
@@ -22,11 +22,9 @@ __all__ = [
     "StrategyChoice",
     "select_strategy",
     "LOWEST_PRIORITY",
-    "TaskRecord",
-    "TraceRecorder",
-    "TraceSummary",
     "TaskEngine",
     "task_family",
+    "run_task",
     "SerialEngine",
     "SCHEDULER_FACTORIES",
     "FifoScheduler",

@@ -13,10 +13,13 @@ hosts.  The scalability *measurements* of the paper are reproduced by
 the discrete-event simulator (:mod:`repro.simulate`) which schedules the
 identical task graph with this engine's policy — see DESIGN.md.
 
-Every executed task feeds the observability registry: per-family
-``engine.tasks`` counters, ``engine.failed``, and accumulated
-``engine.busy_seconds`` / ``engine.idle_seconds`` per worker — the live
-counterpart of the utilization quantities behind Figs 5–7.
+Both engines run every popped task through :func:`run_task`, the one
+per-task hook: it claims the task, applies an installed fault plan,
+opens the task's trace span (worker index and queue wait attached) and
+feeds the per-family ``engine.tasks`` counters and
+``engine.busy_seconds`` — with ``engine.failed`` and
+``engine.idle_seconds``, the live counterpart of the utilization
+quantities behind Figs 5–7.
 
 Beyond the paper, the engine is fault-tolerant (see
 ``docs/robustness.md``): an optional
@@ -43,7 +46,7 @@ from repro.resilience.retry import RetryPolicy, TaskTimeout
 from repro.scheduler.task import Task, force
 from repro.sync.priority_queue import HeapOfLists, QueueClosed
 
-__all__ = ["TaskEngine", "LOWEST_PRIORITY", "task_family"]
+__all__ = ["TaskEngine", "LOWEST_PRIORITY", "task_family", "run_task"]
 
 #: Priority value assigned to update tasks — strictly less urgent than
 #: any forward/backward priority the graph can produce (Section VI-A).
@@ -54,6 +57,78 @@ def task_family(name: str) -> str:
     """Task-name prefix before the first colon ('fwd', 'upd', …)."""
     head, _, _ = name.partition(":")
     return head or "anonymous"
+
+
+class EngineCounters:
+    """The ``engine.*`` counters both engines feed, fetched from the
+    registry that is current when the engine is built."""
+
+    def __init__(self) -> None:
+        reg = get_registry()
+        self._registry = reg
+        self.busy = reg.counter("engine.busy_seconds")
+        self.failed = reg.counter("engine.failed")
+        self.timed_out = reg.counter("engine.tasks.timed_out")
+        self._lock = make_lock("scheduler.engine_counters")
+        #: name -> family -> counter, for the per-family counters.
+        self._per_family: Dict[str, Dict[str, Counter]] = {  # guarded-by: _lock
+            "engine.tasks": {}, "engine.tasks.retried": {}}
+
+    def family(self, name: str, family: str) -> Counter:
+        """The ``name{family=...}`` counter (``engine.tasks`` or
+        ``engine.tasks.retried``)."""
+        # Fast path: dict reads are GIL-atomic.  Insertion is
+        # double-checked under the lock — concurrent first use of a
+        # family must not race the dict resize.
+        by_family = self._per_family[name]
+        counter = by_family.get(family)
+        if counter is None:
+            with self._lock:
+                counter = by_family.get(family)
+                if counter is None:
+                    counter = self._registry.counter(name, family=family)
+                    by_family[family] = counter
+        return counter
+
+
+def run_task(task: Task, worker: int, counters: EngineCounters) -> bool:
+    """Run one popped *task* on behalf of engine worker *worker*.
+
+    The claim succeeds only from QUEUED: a task that FORCE or
+    ``Network.synchronize`` stole after the queue handed it out belongs
+    to the stealer, and this returns False without running anything.
+    Otherwise the fault plan, the task span and the body run, every
+    attempt — failed ones included — counts once in
+    ``engine.tasks{family}``, and the body's exception propagates to
+    the engine's own retry/failure policy.
+    """
+    if not task.try_steal():
+        return False
+    family = task_family(task.name)
+    t0 = time.perf_counter()
+    try:
+        tracer = get_tracer()
+        if tracer.enabled:
+            queue_wait = max(t0 - task.queued_at, 0.0) \
+                if task.queued_at else 0.0
+            with tracer.task_span(task, family, worker, queue_wait):
+                _run_claimed(task, family)
+        else:
+            _run_claimed(task, family)
+    finally:
+        counters.busy.inc(time.perf_counter() - t0)
+        counters.family("engine.tasks", family).inc()
+    return True
+
+
+def _run_claimed(task: Task, family: str) -> None:
+    plan = active_plan()
+    if plan is not None:
+        plan.check(family, task.name)
+    # An injected hang may have let the watchdog abandon this task;
+    # the replacement owns it now.
+    if not task.abandoned:
+        task.execute()
 
 
 class TaskEngine:
@@ -81,14 +156,11 @@ class TaskEngine:
 
     def __init__(self, num_workers: int = 1,
                  scheduler: Optional[Any] = None,
-                 recorder: Optional[Any] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.queue = scheduler if scheduler is not None else HeapOfLists()
-        #: Optional repro.scheduler.TraceRecorder logging every task.
-        self.recorder = recorder
         self.retry_policy = retry_policy
         self._lock = make_lock("scheduler.engine")
         self._threads: List[threading.Thread] = []  # guarded-by: _lock
@@ -103,14 +175,8 @@ class TaskEngine:
         self._abandoned: set = set()  # guarded-by: _lock
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
-        reg = get_registry()
-        self._metrics = reg
-        self._m_failed = reg.counter("engine.failed")
-        self._m_busy = reg.counter("engine.busy_seconds")
-        self._m_idle = reg.counter("engine.idle_seconds")
-        self._m_timed_out = reg.counter("engine.tasks.timed_out")
-        self._m_families: Dict[str, Counter] = {}  # guarded-by: _lock
-        self._m_retried: Dict[str, Counter] = {}  # guarded-by: _lock
+        self._counters = EngineCounters()
+        self._m_idle = get_registry().counter("engine.idle_seconds")
 
     # ------------------------------------------------------------------
 
@@ -204,7 +270,8 @@ class TaskEngine:
 
     @property
     def executed(self) -> int:
-        """Tasks executed so far (attached subtasks included)."""
+        """Popped tasks executed to completion so far (a task's
+        attached subtasks run inside it and are not counted apart)."""
         with self._lock:
             return self._executed
 
@@ -213,35 +280,11 @@ class TaskEngine:
         with self._lock:
             return list(self._errors)
 
-    def _family_counter(self, family: str) -> Counter:
-        # Fast path: dict reads are GIL-atomic.  Insertion happens under
-        # the engine lock (double-checked) — concurrent first-use of a
-        # family must not race the dict resize.
-        counter = self._m_families.get(family)
-        if counter is None:
-            with self._lock:
-                counter = self._m_families.get(family)
-                if counter is None:
-                    counter = self._metrics.counter("engine.tasks",
-                                                    family=family)
-                    self._m_families[family] = counter
-        return counter
-
-    def _retried_counter(self, family: str) -> Counter:
-        counter = self._m_retried.get(family)
-        if counter is None:
-            with self._lock:
-                counter = self._m_retried.get(family)
-                if counter is None:
-                    counter = self._metrics.counter("engine.tasks.retried",
-                                                    family=family)
-                    self._m_retried[family] = counter
-        return counter
-
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
         worker_index = int(threading.current_thread().name.rsplit("-", 1)[-1])
+        counters = self._counters
         t_wait = time.perf_counter()
         while True:
             try:
@@ -253,77 +296,50 @@ class TaskEngine:
                 continue
             t0 = time.perf_counter()
             self._m_idle.inc(t0 - t_wait)
-            queue_wait = t0 - task.queued_at if task.queued_at else 0.0
             error: Optional[BaseException] = None
-            executed = False
+            ran = False
             with self._lock:
                 self._executing[worker_index] = (task, t0)
             try:
-                plan = active_plan()
-                if plan is not None:
-                    plan.check(task_family(task.name), task.name)
-                # An injected hang may have let the watchdog abandon
-                # this task; the replacement owns it now.
-                if not task.abandoned:
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        with tracer.task_span(task, worker=worker_index):
-                            task.execute()
-                    else:
-                        task.execute()
-                    executed = True
+                ran = run_task(task, worker_index, counters)
             except BaseException as exc:  # propagate via shutdown()
                 error = exc
             finally:
                 with self._lock:
                     self._executing.pop(worker_index, None)
                     worker_abandoned = worker_index in self._abandoned
-            t1 = time.perf_counter()
-            self._m_busy.inc(t1 - t0)
-            family = task_family(task.name)
-            self._family_counter(family).inc()
+            t_wait = time.perf_counter()  # idle clock restarts here
             if worker_abandoned:
                 # The watchdog spawned a replacement worker while this
                 # one was stuck; it has already accounted for the task.
                 return
-            if error is not None:
-                if (self.retry_policy is not None
-                        and self.retry_policy.should_retry(error,
-                                                           task.attempts)
-                        and task.reset_for_retry()):
-                    self._retried_counter(family).inc()
-                    if self.recorder is not None:
-                        self.recorder.record(task.name, worker_index, t0, t1,
-                                             queue_wait=queue_wait,
-                                             status="retried")
-                    time.sleep(self.retry_policy.backoff(task.attempts - 1))
-                    try:
-                        self.submit(task)
-                    except QueueClosed:
-                        pass  # another worker failed fatally; so do we
-                    else:
-                        t_wait = time.perf_counter()
-                        continue
-                self._m_failed.inc()
-                if self.recorder is not None:
-                    self.recorder.record(task.name, worker_index, t0, t1,
-                                         queue_wait=queue_wait,
-                                         status="error")
-                with self._lock:
-                    self._errors.append(error)
-                flight_note("engine task failed fatally",
-                            task=task.name, worker=worker_index,
-                            error=f"{type(error).__name__}: {error}")
-                flight_dump(f"engine-failed-{task_family(task.name)}")
-                self.queue.close()
-                return
-            if self.recorder is not None:
-                self.recorder.record(task.name, worker_index, t0, t1,
-                                     queue_wait=queue_wait, status="ok")
-            if executed:
-                with self._lock:
-                    self._executed += 1
-            t_wait = t1  # idle clock restarts where the task ended
+            if error is None:
+                if ran:
+                    with self._lock:
+                        self._executed += 1
+                continue
+            family = task_family(task.name)
+            if (self.retry_policy is not None
+                    and self.retry_policy.should_retry(error, task.attempts)
+                    and task.reset_for_retry()):
+                counters.family("engine.tasks.retried", family).inc()
+                time.sleep(self.retry_policy.backoff(task.attempts - 1))
+                try:
+                    self.submit(task)
+                except QueueClosed:
+                    pass  # another worker failed fatally; so do we
+                else:
+                    t_wait = time.perf_counter()
+                    continue
+            counters.failed.inc()
+            with self._lock:
+                self._errors.append(error)
+            flight_note("engine task failed fatally",
+                        task=task.name, worker=worker_index,
+                        error=f"{type(error).__name__}: {error}")
+            flight_dump(f"engine-failed-{family}")
+            self.queue.close()
+            return
 
     # -- watchdog ------------------------------------------------------
 
@@ -357,12 +373,13 @@ class TaskEngine:
                 if t.name == name:
                     self._threads.remove(t)
                     self._lost_threads.append(t)
-        self._m_timed_out.inc()
+        self._counters.timed_out.inc()
         timeout_error = TaskTimeout(
             f"task {task.name!r} exceeded {self.retry_policy.timeout}s "
             f"(attempt {task.attempts + 1})")
         if self.retry_policy.should_retry(timeout_error, task.attempts):
-            self._retried_counter(task_family(task.name)).inc()
+            self._counters.family("engine.tasks.retried",
+                                  task_family(task.name)).inc()
             self._spawn_worker()
             try:
                 self.submit(task.clone_for_retry())

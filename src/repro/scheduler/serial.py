@@ -18,10 +18,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
-from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_tracer
-from repro.resilience.faults import active_plan
 from repro.resilience.retry import RetryPolicy
+from repro.scheduler.engine import EngineCounters, run_task, task_family
 from repro.scheduler.task import Task, force
 from repro.sync.priority_queue import HeapOfLists
 
@@ -38,21 +36,12 @@ class SerialEngine:
     """
 
     def __init__(self, scheduler: Optional[Any] = None,
-                 recorder: Optional[Any] = None,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         self.num_workers = 1
         self.queue = scheduler if scheduler is not None else HeapOfLists()
-        #: Optional repro.scheduler.TraceRecorder logging every task.
-        self.recorder = recorder
         self.retry_policy = retry_policy
         self._executed = 0
-        reg = get_registry()
-        self._metrics = reg
-        self._m_failed = reg.counter("engine.failed")
-        self._m_busy = reg.counter("engine.busy_seconds")
-        self._m_timed_out = reg.counter("engine.tasks.timed_out")
-        self._m_families: dict = {}
-        self._m_retried: dict = {}
+        self._counters = EngineCounters()
 
     def start(self) -> "SerialEngine":
         return self
@@ -84,14 +73,6 @@ class SerialEngine:
               name: str = "") -> None:
         force(update_task, Task(fn, name=name))
 
-    def _retried_counter(self, family: str):
-        counter = self._m_retried.get(family)
-        if counter is None:
-            counter = self._metrics.counter("engine.tasks.retried",
-                                            family=family)
-            self._m_retried[family] = counter
-        return counter
-
     def run_until_idle(self) -> int:
         """Execute queued tasks (and everything they spawn) to quiescence.
 
@@ -100,67 +81,37 @@ class SerialEngine:
         backoff) until it succeeds or the retry budget is exhausted;
         only then does the failure propagate.
         """
-        from repro.scheduler.engine import task_family
-
         policy = self.retry_policy
+        timeout = policy.timeout if policy is not None else None
+        counters = self._counters
         count = 0
         while True:
             try:
                 _, task = self.queue.pop(block=False)
             except IndexError:
                 break
-            family = task_family(task.name)
             while True:
-                t0 = time.perf_counter()
-                queue_wait = t0 - task.queued_at if task.queued_at else 0.0
+                t0 = time.perf_counter() if timeout is not None else 0.0
                 try:
-                    plan = active_plan()
-                    if plan is not None:
-                        plan.check(family, task.name)
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        with tracer.task_span(task, worker=0):
-                            task.execute()
-                    else:
-                        task.execute()
+                    ran = run_task(task, 0, counters)
                 except BaseException as exc:
-                    t1 = time.perf_counter()
-                    self._m_busy.inc(t1 - t0)
                     if (policy is not None
                             and policy.should_retry(exc, task.attempts)
                             and task.reset_for_retry()):
-                        self._retried_counter(family).inc()
-                        if self.recorder is not None:
-                            self.recorder.record(task.name, 0, t0, t1,
-                                                 queue_wait=queue_wait,
-                                                 status="retried")
+                        counters.family("engine.tasks.retried",
+                                        task_family(task.name)).inc()
                         time.sleep(policy.backoff(task.attempts - 1))
                         task.mark_queued()  # re-execute in place
                         continue
-                    # Record the failure before propagating so traces
-                    # don't silently under-count work.
-                    self._m_failed.inc()
-                    if self.recorder is not None:
-                        self.recorder.record(task.name, 0, t0, t1,
-                                             queue_wait=queue_wait,
-                                             status="error")
+                    counters.failed.inc()
                     self._executed += count
                     raise
                 break
-            t1 = time.perf_counter()
-            self._m_busy.inc(t1 - t0)
-            if policy is not None and policy.timeout is not None \
-                    and t1 - t0 > policy.timeout:
+            if not ran:
+                continue
+            if timeout is not None and time.perf_counter() - t0 > timeout:
                 # Advisory only: the serial engine cannot preempt itself.
-                self._m_timed_out.inc()
-            counter = self._m_families.get(family)
-            if counter is None:
-                counter = self._metrics.counter("engine.tasks", family=family)
-                self._m_families[family] = counter
-            counter.inc()
-            if self.recorder is not None:
-                self.recorder.record(task.name, 0, t0, t1,
-                                     queue_wait=queue_wait)
+                counters.timed_out.inc()
             count += 1
         self._executed += count
         return count

@@ -2,8 +2,12 @@
 
 A task wraps a callable plus scheduling metadata.  Its lifecycle is
 
-    PENDING → QUEUED → EXECUTING → COMPLETED
-                 ↘ STOLEN (dequeued logically by FORCE) → EXECUTING → …
+    PENDING → QUEUED → STOLEN (claimed) → EXECUTING → COMPLETED
+
+A queued task is claimed exactly once, by whichever thread flips it
+QUEUED→STOLEN first: the engine worker that popped it, FORCE, or
+``Network.synchronize``.  A worker whose popped task was claimed by
+someone else simply drops it.
 
 The interesting transition is FORCE: a forward task whose edge has a
 pending weight update must not *wait* for it.  Instead (Algorithm 1's
@@ -14,10 +18,10 @@ pending weight update must not *wait* for it.  Instead (Algorithm 1's
 * **Queued** update → the calling thread *steals* it (atomically flips
   QUEUED→STOLEN; the queue entry is lazily invalidated) and executes the
   update followed by the forward subtask itself.
-* **Executing** update → the forward subtask is *attached* to the update
-  task; the thread running the update executes the attachment as soon
-  as the update completes (Algorithm 3 lines 3–6), and the calling
-  thread goes back to the queue for other work.
+* **Claimed or executing** update → the forward subtask is *attached*
+  to the update task; the thread running the update executes the
+  attachment as soon as the update completes (Algorithm 3 lines 3–6),
+  and the calling thread goes back to the queue for other work.
 
 No thread ever blocks on another — the design keeps workers busy, and
 running the update immediately before the forward task that consumes
@@ -105,7 +109,8 @@ class Task:
             self._state = TaskState.QUEUED
 
     def try_steal(self) -> bool:
-        """Atomically claim a QUEUED task (FORCE case 2).  The queue's
+        """Atomically claim a QUEUED task (FORCE case 2, or an engine
+        worker claiming the task it popped).  The queue's
         lazy-invalidation callback (:meth:`is_queued`) will skip it."""
         with self._lock:
             if self._state is TaskState.QUEUED:
@@ -123,9 +128,13 @@ class Task:
             return False
 
     def is_queued(self) -> bool:
-        """Validity callback handed to the queue: stolen entries vanish."""
-        with self._lock:
-            return self._state is TaskState.QUEUED
+        """Validity callback handed to the queue: stolen entries vanish.
+
+        A lock-free read, because it is only a filter: the worker that
+        pops the task still claims it with :meth:`try_steal`, which
+        fails if a steal raced in after this read.
+        """
+        return self._state is TaskState.QUEUED
 
     def try_attach(self, subtask: "Task") -> bool:
         """Attach *subtask* to run right after this task completes
@@ -147,13 +156,13 @@ class Task:
         it (counting the attempt).
 
         Succeeds only when the failure happened in *this* task's body
-        (state QUEUED — the injected-fault-before-begin case — or
-        EXECUTING).  A COMPLETED task whose *attached* subtask failed is
-        not resettable: re-running it would double-execute the parent
-        body.
+        (state STOLEN — claimed, but an injected fault fired before the
+        body began — or EXECUTING).  A COMPLETED task whose *attached*
+        subtask failed is not resettable: re-running it would
+        double-execute the parent body.
         """
         with self._lock:
-            if self._state not in (TaskState.QUEUED, TaskState.EXECUTING):
+            if self._state not in (TaskState.STOLEN, TaskState.EXECUTING):
                 return False
             self._state = TaskState.PENDING
             self.attempts += 1
@@ -205,8 +214,9 @@ def force(update_task: Optional[Task], subtask: Task) -> None:
 
     1. update completed (or never existed) → run the subtask here;
     2. update queued → steal it, run update then subtask here;
-    3. update executing → attach the subtask; the updating thread runs
-       it on completion and this thread returns for other work.
+    3. update claimed or executing → attach the subtask; the updating
+       thread runs it on completion and this thread returns for other
+       work.
     """
     if update_task is None:
         subtask.execute()

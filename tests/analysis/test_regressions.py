@@ -75,18 +75,22 @@ def test_fft_cache_concurrent_pins_are_not_lost(check_state):
 
 
 def test_engine_family_counter_first_use_is_synchronised(check_state):
-    # Bug: _m_families[family] = counter ran without the engine lock —
+    # Bug: the per-family counter cache was filled without a lock —
     # concurrent first-use of families raced the dict insertion.  The
-    # double-checked path must hand every thread the same counter.
+    # double-checked path (EngineCounters.family, shared by both
+    # engines) must hand every thread the same counter.
     engine = TaskEngine(num_workers=1)
+    engine_counters = engine._counters
     barrier = threading.Barrier(8, timeout=10)
     seen = []
     seen_lock = threading.Lock()
 
     def first_use():
         barrier.wait()
-        mine = [engine._family_counter(f"fam-{j}") for j in range(4)]
-        mine.append(engine._retried_counter("fam-retry"))
+        mine = [engine_counters.family("engine.tasks", f"fam-{j}")
+                for j in range(4)]
+        mine.append(engine_counters.family("engine.tasks.retried",
+                                           "fam-retry"))
         with seen_lock:
             seen.append(mine)
 
@@ -99,5 +103,8 @@ def test_engine_family_counter_first_use_is_synchronised(check_state):
     for counters in seen[1:]:
         for mine, first in zip(counters, seen[0]):
             assert mine is first
-    assert set(engine._m_families) == {f"fam-{j}" for j in range(4)}
+    assert set(engine_counters._per_family["engine.tasks"]) == {
+        f"fam-{j}" for j in range(4)}
+    assert set(engine_counters._per_family["engine.tasks.retried"]) == {
+        "fam-retry"}
     assert [v.kind for v in check_state.violations] == []

@@ -35,3 +35,16 @@ def _repro_check_clean():
 
     if checking_enabled():
         assert_clean()
+
+
+@pytest.fixture
+def task_tracer():
+    """A fresh enabled tracer installed as the process global for one
+    test, so the engines record their task spans into it; the previous
+    tracer is restored afterwards."""
+    from repro.observability.tracing import Tracer, set_tracer
+
+    fresh = Tracer(enabled=True, process="test")
+    previous = set_tracer(fresh)
+    yield fresh
+    set_tracer(previous)

@@ -1,4 +1,5 @@
-"""Exporter tests: Chrome-trace JSON structure and metrics snapshots."""
+"""Exporter tests: Chrome-trace JSON of task spans and metrics
+snapshots."""
 
 import json
 
@@ -6,52 +7,65 @@ import pytest
 
 from repro.observability import (
     MetricsRegistry,
-    chrome_trace,
-    chrome_trace_events,
     metrics_snapshot,
     render_metrics,
-    write_chrome_trace,
     write_metrics_json,
 )
-from repro.scheduler import TraceRecorder
+from repro.observability.tracing import (
+    Span,
+    Tracer,
+    merge_trace_files,
+    read_trace_file,
+    spans_to_chrome_trace,
+    write_trace_file,
+)
+
+
+def _task_span(name, family, worker, thread, start, end, queue_wait=0.0,
+               status="ok"):
+    return Span("t1", f"main:{name}", None, name, family, start, end,
+                "main", thread, status,
+                {"worker": worker, "queue_wait": queue_wait})
 
 
 def _recorded_span():
-    rec = TraceRecorder()
-    rec.record("fwd:a", 0, 10.0, 10.5, queue_wait=0.001)
-    rec.record("bwd:a", 1, 10.5, 11.0)
-    rec.record("upd:a", 0, 11.0, 11.2, status="error")
-    return rec
+    return [
+        _task_span("fwd:a", "fwd", 0, 100, 10.0, 10.5, queue_wait=0.001),
+        _task_span("bwd:a", "bwd", 1, 101, 10.5, 11.0),
+        _task_span("upd:a", "upd", 0, 100, 11.0, 11.2, status="error"),
+    ]
 
 
 class TestChromeTrace:
     def test_empty_records(self):
-        assert chrome_trace_events([]) == []
-        doc = chrome_trace(TraceRecorder())
+        doc = spans_to_chrome_trace([])
         assert doc == {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def test_slices_and_metadata(self):
-        events = chrome_trace_events(_recorded_span().records())
+        events = spans_to_chrome_trace(_recorded_span())["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         slices = [e for e in events if e["ph"] == "X"]
         assert len(slices) == 3
-        # process name + one thread name per worker
+        # process name + one thread name per worker thread
         names = {e["name"] for e in meta}
         assert names == {"process_name", "thread_name"}
         assert {e["args"]["name"] for e in meta} == {
-            "repro task engine", "worker-0", "worker-1"}
+            "main", "main/t0", "main/t1"}
 
     def test_timestamps_relative_microseconds(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
+        slices = [e for e in
+                  spans_to_chrome_trace(_recorded_span())["traceEvents"]
                   if e["ph"] == "X"]
         by_name = {e["name"]: e for e in slices}
         assert by_name["fwd:a"]["ts"] == pytest.approx(0.0)
         assert by_name["fwd:a"]["dur"] == pytest.approx(0.5e6)
         assert by_name["bwd:a"]["ts"] == pytest.approx(0.5e6)
-        assert by_name["fwd:a"]["args"]["queue_wait_us"] == pytest.approx(1e3)
+        assert by_name["fwd:a"]["args"]["queue_wait"] == pytest.approx(1e-3)
+        assert by_name["bwd:a"]["args"]["worker"] == 1
 
     def test_failed_task_marked(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
+        slices = [e for e in
+                  spans_to_chrome_trace(_recorded_span())["traceEvents"]
                   if e["ph"] == "X"]
         failed = [e for e in slices if e["args"]["status"] == "error"]
         assert len(failed) == 1
@@ -60,22 +74,30 @@ class TestChromeTrace:
         assert all("cname" not in e for e in ok)
 
     def test_family_becomes_category(self):
-        slices = [e for e in chrome_trace_events(_recorded_span().records())
+        slices = [e for e in
+                  spans_to_chrome_trace(_recorded_span())["traceEvents"]
                   if e["ph"] == "X"]
         assert {e["cat"] for e in slices} == {"fwd", "bwd", "upd"}
 
     def test_write_roundtrip(self, tmp_path):
+        spans_file = str(tmp_path / "spans.json")
+        write_trace_file(spans_file, Tracer(process="main"),
+                         spans=_recorded_span())
         path = tmp_path / "trace.json"
-        out = write_chrome_trace(_recorded_span(), str(path))
-        assert out == str(path)
+        merge_trace_files([spans_file], str(path))
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["displayTimeUnit"] == "ms"
         assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == 3
 
-    def test_accepts_record_list(self):
-        rec = _recorded_span()
-        assert chrome_trace(rec.records()) == chrome_trace(rec)
+    def test_accepts_record_list(self, tmp_path):
+        """Spans read back from a trace file export exactly like the
+        live ones."""
+        spans = _recorded_span()
+        path = str(tmp_path / "spans.json")
+        write_trace_file(path, Tracer(process="main"), spans=spans)
+        assert (spans_to_chrome_trace(read_trace_file(path))
+                == spans_to_chrome_trace(spans))
 
 
 class TestMetricsExport:
@@ -114,7 +136,8 @@ class TestMetricsExport:
 
 
 class TestEndToEnd:
-    def test_training_round_fills_registry_and_trace(self, rng, tmp_path):
+    def test_training_round_fills_registry_and_trace(self, rng, tmp_path,
+                                                     task_tracer):
         """One traced, pooled training round populates every acceptance
         metric family and yields a loadable Chrome trace."""
         import numpy as np
@@ -129,13 +152,12 @@ class TestEndToEnd:
         previous = set_registry(fresh)
         reset_global_allocators()  # rebuild pools against the fresh registry
         try:
-            rec = TraceRecorder()
             from repro.graph import build_layered_network
 
             graph = build_layered_network("CTC", width=2, kernel=2,
                                           output_nodes=1)
             net = Network(graph, input_shape=(12, 12, 12), seed=0,
-                          conv_mode="fft", recorder=rec,
+                          conv_mode="fft",
                           optimizer=SGD(learning_rate=0.01))
             volume = make_cell_volume((24, 24, 24), seed=1)
             out_shape = net.output_nodes[0].shape
@@ -151,7 +173,9 @@ class TestEndToEnd:
                        if not isinstance(value, dict))
             assert snap["train.rounds"] == 2
             assert snap["train.seconds_per_update"]["count"] == 2
-            path = write_chrome_trace(rec, str(tmp_path / "t.json"))
+            path = str(tmp_path / "t.json")
+            with open(path, "w") as fh:
+                json.dump(spans_to_chrome_trace(task_tracer.spans()), fh)
             with open(path) as fh:
                 doc = json.load(fh)
             assert any(e["ph"] == "X" for e in doc["traceEvents"])

@@ -134,6 +134,19 @@ class TestSpanBasics:
                 pass
         assert len(small) == 10
         assert small.spans()[0].name == "s15"
+        assert small.dropped == 15
+
+    def test_ingest_counts_evicted_spans(self):
+        """Spans shipped from worker processes overflow the ring like
+        local ones, and the overflow is counted, not silent."""
+        source = Tracer(enabled=True, process="worker-1")
+        for i in range(6):
+            with source.span(f"s{i}"):
+                pass
+        small = Tracer(enabled=True, process="test", max_spans=4)
+        assert small.ingest(source.drain()) == 6
+        assert len(small) == 4
+        assert small.dropped == 2
 
     def test_span_dict_round_trip(self, tracer):
         with tracer.span("s", category="c", k=1):

@@ -9,8 +9,12 @@ from repro.scheduler import (
     SerialEngine,
     Task,
     TaskEngine,
+    TaskState,
     force,
+    run_task,
 )
+from repro.scheduler.engine import EngineCounters
+from repro.sync import HeapOfLists
 
 
 class TestTaskEngine:
@@ -172,6 +176,55 @@ class TestQueueClosedVsForce:
         with pytest.raises(RuntimeError, match="fatal"):
             engine.shutdown()
         assert order == ["upd", "sub"]
+
+
+class TestPoppedTaskClaim:
+    """A popped task is claimed only from QUEUED, so a steal between the
+    queue's pop and the worker's claim cannot run it twice.  Both
+    interleavings are driven step by step on one thread."""
+
+    def _pushed(self, body, name="upd:e"):
+        queue = HeapOfLists()
+        task = Task(body, priority=LOWEST_PRIORITY, name=name)
+        task.mark_queued()
+        queue.push(task.priority, task, is_valid=task.is_queued)
+        _, popped = queue.pop(block=False)
+        assert popped is task
+        return task
+
+    def test_steal_after_pop_leaves_the_task_to_the_stealer(self):
+        runs = []
+        task = self._pushed(lambda: runs.append("upd"))
+        # FORCE steals the popped task before the worker claims it.
+        force(task, Task(lambda: runs.append("fwd")))
+        assert runs == ["upd", "fwd"]
+        assert run_task(task, 0, EngineCounters()) is False
+        assert runs == ["upd", "fwd"]  # body ran once, nothing raised
+        assert task.state is TaskState.COMPLETED
+
+    def test_claim_before_force_attaches_the_subtask(self):
+        runs = []
+        task = None
+
+        def update():
+            runs.append("upd")
+            # FORCE arrives while the hook owns the task: the subtask
+            # attaches and runs right after the update, on this thread.
+            force(task, Task(lambda: runs.append("fwd")))
+            assert runs == ["upd"]
+
+        task = self._pushed(update)
+        assert run_task(task, 0, EngineCounters()) is True
+        assert runs == ["upd", "fwd"]
+        assert task.state is TaskState.COMPLETED
+
+    def test_synchronize_style_steal_after_pop(self):
+        runs = []
+        task = self._pushed(lambda: runs.append("upd"))
+        assert task.try_steal()  # Network.synchronize's steal
+        task.execute()
+        assert run_task(task, 0, EngineCounters()) is False
+        assert runs == ["upd"]
 
 
 class TestSerialEngine:

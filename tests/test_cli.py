@@ -199,6 +199,23 @@ class TestObservabilityCommands:
         slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert slices
         assert all({"name", "ts", "dur", "tid"} <= set(e) for e in slices)
+        out = capsys.readouterr().out
+        assert "tasks over" in out
+        assert "utilization" in out and "mean queue wait" in out
+
+    def test_trace_reports_a_partial_trace(self, capsys, tmp_path,
+                                           monkeypatch):
+        import functools
+
+        from repro.observability import tracing
+
+        monkeypatch.setattr(tracing, "Tracer",
+                            functools.partial(tracing.Tracer, max_spans=20))
+        assert main(["trace", "--out", str(tmp_path / "trace.json"),
+                     "--rounds", "1", "--workers", "1", *self._SIZE]) == 0
+        out = capsys.readouterr().out
+        assert "partial trace: the ring buffer evicted" in out
+        assert "20 tasks over" in out
 
     def test_train_trace_out_and_metrics(self, capsys, tmp_path):
         import json
@@ -210,9 +227,45 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "loss/voxel" in out
         assert "queue.pop" in out  # --metrics table
+        assert "utilization" in out and "mean queue wait" in out
         with open(out_file) as fh:
             doc = json.load(fh)
         assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+        _check_span_trace(doc)
+
+    def test_parallel_train_trace_out_has_the_same_schema(self, capsys,
+                                                          tmp_path):
+        import json
+
+        out_file = tmp_path / "trace.json"
+        assert main(["train", "--workers", "1", "--rounds", "1",
+                     *self._SIZE, "--conv-mode", "direct",
+                     "--trace-out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert "process(es)" in out
+        assert "utilization" in out and "mean queue wait" in out
+        with open(out_file) as fh:
+            _check_span_trace(json.load(fh))
+
+
+def _check_span_trace(doc):
+    """The span-trace schema every ``--trace-out`` file shares: complete
+    slices whose parent ids all resolve, with task slices carrying their
+    worker and queue wait."""
+    events = doc["traceEvents"]
+    slices = [e for e in events if e.get("ph") == "X"]
+    assert slices, "trace contains no task slices"
+    for e in slices:
+        assert {"name", "ph", "pid", "tid", "ts", "dur"} <= set(e)
+    # Every span's parent id must resolve within the trace.
+    ids = {e["args"]["span_id"] for e in slices}
+    orphans = [e["name"] for e in slices
+               if e["args"].get("parent_id")
+               and e["args"]["parent_id"] not in ids]
+    assert not orphans
+    tasks = [e for e in slices if "worker" in e["args"]]
+    assert tasks
+    assert all("queue_wait" in e["args"] for e in tasks)
 
 
 class TestResilienceCli:
